@@ -12,8 +12,10 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking import name_blocking, purging, token_blocking
-from repro.blocking.tokenize import entity_tokens
+from repro.blocking import blocks, purging, token_blocking
+# Unused here; perfbench/tests/test_spans.py checks that the span tracer
+# patches this name in every module that imports it.
+from repro.blocking.tokenize import entity_tokens  # noqa: F401
 from repro.kb.schema import KBPair
 
 
@@ -37,26 +39,17 @@ def block_stats(
     budget_factor: float = purging.DEFAULT_BUDGET_FACTOR,
 ) -> dict:
     """Compute a full Table II column for one dataset."""
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    t1, t2 = entity_tokens(pair.kb1), entity_tokens(pair.kb2)
-    bt_raw = token_blocking.block_index(t1, t2)
-    bt, threshold = purging.purge(bt_raw, cartesian, budget_factor)
-    bn = name_blocking.block_index(pair, k)
-
-    n1_tokens, n2_tokens = name_blocking.name_keys(pair, k)
-    kept = bt.select("key")
-    cand = token_blocking.candidate_pairs(t1, t2, kept).unionByName(
-        token_blocking.candidate_pairs(n1_tokens, n2_tokens)
-    ).distinct()
-
-    q = block_quality(cand, pair.ground_truth)
-    return {
-        "dataset": pair.name,
-        "|BN|": bn.count(),
-        "|BT|": bt.count(),
-        "||BN||": token_blocking.total_comparisons(bn),
-        "||BT||": token_blocking.total_comparisons(bt),
-        "|E1|*|E2|": cartesian,
-        "purge_threshold": threshold,
-        **q,
-    }
+    b = blocks.build(pair, k, budget_factor)
+    try:
+        return {
+            "dataset": pair.name,
+            "|BN|": b.bn.count(),
+            "|BT|": b.bt.count(),
+            "||BN||": token_blocking.total_comparisons(b.bn),
+            "||BT||": token_blocking.total_comparisons(b.bt),
+            "|E1|*|E2|": b.cartesian,
+            "purge_threshold": b.threshold,
+            **block_quality(b.candidates(), pair.ground_truth),
+        }
+    finally:
+        b.unpersist()

@@ -6,7 +6,9 @@ importance(p) = harmonic mean of
 
 The k most important attributes per KB provide the literal values that
 serve as entity *names* — no rdfs:label or schema knowledge required.
-``rdf:type`` triples are excluded (DESIGN.md §6).
+``rdf:type`` triples are excluded (DESIGN.md §6). The same formula ranks
+relations (:mod:`repro.core.relations`); |E| is passed in, counted once
+per KB by the shared blocking pass (:mod:`repro.blocking.blocks`).
 """
 from __future__ import annotations
 
@@ -16,12 +18,15 @@ from pyspark.sql import functions as F
 from repro.kb.schema import KB
 
 
-def attribute_importance(kb: KB) -> DataFrame:
-    """(pred, support, discriminability, importance) over literal attributes."""
-    n_entities = kb.n_entities()
-    per_pred = kb.literals().groupBy("pred").agg(
+def importance(triples: DataFrame, obj: str, n_entities: int) -> DataFrame:
+    """(pred, support, discriminability, importance) of each predicate.
+
+    ``triples`` has ``eid``, ``pred`` and the object column ``obj``;
+    ``n_entities`` is |E| of the KB they come from.
+    """
+    per_pred = triples.groupBy("pred").agg(
         F.countDistinct("eid").alias("n_e"),
-        F.countDistinct("obj").alias("n_obj"),
+        F.countDistinct(obj).alias("n_obj"),
     )
     support = F.col("n_e") / F.lit(float(n_entities))
     discr = F.col("n_obj") / F.col("n_e")
@@ -33,10 +38,10 @@ def attribute_importance(kb: KB) -> DataFrame:
     )
 
 
-def top_k_name_attributes(kb: KB, k: int = 2) -> list[str]:
-    """The k attributes with the highest importance (ties by name, stable)."""
+def most_important(triples: DataFrame, obj: str, n_entities: int, k: int) -> list[str]:
+    """The k predicates with the highest importance (ties by name, stable)."""
     rows = (
-        attribute_importance(kb)
+        importance(triples, obj, n_entities)
         .orderBy(F.desc("importance"), F.asc("pred"))
         .limit(k)
         .collect()
@@ -44,14 +49,19 @@ def top_k_name_attributes(kb: KB, k: int = 2) -> list[str]:
     return [r["pred"] for r in rows]
 
 
-def entity_names(kb: KB, k: int = 2) -> DataFrame:
+def top_k_name_attributes(kb: KB, n_entities: int, k: int = 2) -> list[str]:
+    """The k literal attributes with the highest importance."""
+    return most_important(kb.literals(), "obj", n_entities, k)
+
+
+def entity_names(kb: KB, n_entities: int, k: int = 2) -> DataFrame:
     """(eid, name) — normalized literal values of the top-k name attributes.
 
     An entity may expose several names (one per name attribute / value).
     Normalization mirrors tokenization casing so that name equality is
     insensitive to case and surrounding whitespace.
     """
-    attrs = top_k_name_attributes(kb, k)
+    attrs = top_k_name_attributes(kb, n_entities, k)
     return (
         kb.literals()
         .filter(F.col("pred").isin(attrs))

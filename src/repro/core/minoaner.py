@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking import name_blocking, purging, token_blocking
-from repro.blocking.tokenize import entity_tokens
+from repro.blocking import blocks, name_blocking, purging
+# Unused here; perfbench/tests/test_spans.py checks that the span tracer
+# patches this name in every module that imports it.
+from repro.blocking.tokenize import entity_tokens  # noqa: F401
 from repro.core import heuristics, relations, value_sim
 from repro.kb.schema import KBPair
 
@@ -39,23 +41,14 @@ class MinoanERResult:
 
 def match(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> MinoanERResult:
     """Run the full non-iterative matching process on a KB pair."""
-    t1 = entity_tokens(pair.kb1).cache()
-    t2 = entity_tokens(pair.kb2).cache()
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    bt, _ = purging.purge(
-        token_blocking.block_index(t1, t2), cartesian, cfg.budget_factor
-    )
-    kept = bt.select("key")
-
-    vsims = value_sim.value_similarities(t1, t2, kept).cache()
-    nbrs1 = relations.top_neighbors(pair.kb1, cfg.N)
-    nbrs2 = relations.top_neighbors(pair.kb2, cfg.N)
+    b = blocks.build(pair, cfg.k, cfg.budget_factor)
+    vsims = value_sim.value_similarities(b.tokens1, b.tokens2, b.bt).cache()
+    nbrs1 = relations.top_neighbors(pair.kb1, b.n_entities[0], cfg.N)
+    nbrs2 = relations.top_neighbors(pair.kb2, b.n_entities[1], cfg.N)
     nsims = heuristics.neighbor_similarities(vsims, nbrs1, nbrs2).cache()
 
-    nk = name_blocking.name_keys(pair, cfg.k)
-    nk = (nk[0].cache(), nk[1].cache())
     h1 = (
-        name_blocking.h1_matches(pair, cfg.k, nk)
+        name_blocking.h1_matches(b.names1, b.names2, b.bn)
         .withColumn("heuristic", F.lit("H1"))
         .cache()
     )
@@ -84,6 +77,7 @@ def match(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> MinoanERResul
         [(r["e1"], r["e2"], r["heuristic"]) for r in rows],
         schema="e1 long, e2 long, heuristic string",
     )
-    for df in (vsims, nsims, t1, t2, h1, h2, *nk):
+    for df in (vsims, nsims, h1, h2):
         df.unpersist()
+    b.unpersist()
     return MinoanERResult(matches=out, counts=counts)

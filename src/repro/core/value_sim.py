@@ -5,14 +5,17 @@ valueSim(e_i, e_j) = sum over common tokens t of
 
 EF_E(t) ("entity frequency") is the number of entities of KB E whose
 values contain t — exactly the size of t's token block in E, so the
-metric is computable from block statistics alone. A token unique to the
-pair on both sides contributes 1/log2(2) = 1; hence the H2 rule
+metric is computed from block statistics alone: the weight of t is read
+off the (key, n1, n2) block index as 1/log2(n1*n2 + 1). A token unique
+to the pair on both sides contributes 1/log2(2) = 1; hence the H2 rule
 "v_max >= 1 <=> they (and only they) share a token, or share many
 infrequent tokens".
 
 The sum ranges over the tokens that survive Block Purging (similarities
 "are extracted from a set of blocks"; purged blocks no longer exist),
-while EF itself is the pre-purge block size — a KB statistic.
+while EF itself is the pre-purge block size — a KB statistic. Purging
+drops whole blocks and never changes n1, n2 of a kept one, so both hold
+when the index passed in is the purged one.
 """
 from __future__ import annotations
 
@@ -20,33 +23,19 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def entity_frequency(tokens: DataFrame) -> DataFrame:
-    """(token, ef) — number of entities containing each token."""
-    return tokens.groupBy("token").agg(F.countDistinct("eid").alias("ef"))
-
-
-def token_weights(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
-    """(token, w) for tokens present in both KBs, w = 1/log2(ef1*ef2+1)."""
-    ef1 = entity_frequency(tokens1).withColumnRenamed("ef", "ef1")
-    ef2 = entity_frequency(tokens2).withColumnRenamed("ef", "ef2")
-    return ef1.join(ef2, "token").select(
-        "token",
-        (1.0 / F.log2(F.col("ef1") * F.col("ef2") + 1)).alias("w"),
-    )
-
-
 def value_similarities(
-    tokens1: DataFrame, tokens2: DataFrame, kept_keys: DataFrame | None = None
+    tokens1: DataFrame, tokens2: DataFrame, index: DataFrame
 ) -> DataFrame:
-    """(e1, e2, sim) for every cross-KB pair co-occurring in a kept block.
+    """(e1, e2, sim) for every cross-KB pair co-occurring in a block of ``index``.
 
-    ``kept_keys`` is the one-column ``key`` DataFrame of blocks surviving
-    purging; None means no purging. Pairs absent from the result have
-    valueSim 0 by definition.
+    ``tokens1``/``tokens2`` are the per-KB (eid, token) sets; ``index`` is
+    their (key, n1, n2) token-block index, purged or not. Pairs absent
+    from the result have valueSim 0 by definition.
     """
-    w = token_weights(tokens1, tokens2)
-    if kept_keys is not None:
-        w = w.join(kept_keys.select(F.col("key").alias("token")), "token")
+    w = index.select(
+        F.col("key").alias("token"),
+        (1.0 / F.log2(F.col("n1") * F.col("n2") + 1)).alias("w"),
+    )
     t1 = tokens1.select(F.col("eid").alias("e1"), "token")
     t2 = tokens2.select(F.col("eid").alias("e2"), "token")
     return (

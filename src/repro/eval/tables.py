@@ -15,9 +15,11 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.bsl import run_bsl
 from repro.baselines.paris import run_paris
-from repro.blocking import name_blocking, purging, token_blocking
+from repro.blocking import blocks
 from repro.blocking.stats import block_stats
-from repro.blocking.tokenize import entity_tokens
+# Unused here; perfbench/tests/test_spans.py checks that the span tracer
+# patches this name in every module that imports it.
+from repro.blocking.tokenize import entity_tokens  # noqa: F401
 from repro.core.minoaner import MinoanERConfig, MinoanERResult, match
 from repro.eval.metrics import precision_recall_f1
 from repro.kb.datasets import DATASET_ORDER, load
@@ -109,17 +111,10 @@ def table2(
 
 def bsl_candidates(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()):
     """The BSL input: distinct candidate pairs of B_N u B_T (purged)."""
-    t1, t2 = entity_tokens(pair.kb1), entity_tokens(pair.kb2)
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    bt, _ = purging.purge(
-        token_blocking.block_index(t1, t2), cartesian, cfg.budget_factor
-    )
-    n1, n2 = name_blocking.name_keys(pair, cfg.k)
-    return (
-        token_blocking.candidate_pairs(t1, t2, bt.select("key"))
-        .unionByName(token_blocking.candidate_pairs(n1, n2))
-        .distinct()
-    )
+    b = blocks.build(pair, cfg.k, cfg.budget_factor)
+    cands = b.candidates()
+    b.unpersist()  # the caller caches the candidates if it reuses them
+    return cands
 
 
 def evaluate_dataset(

@@ -2,11 +2,7 @@
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.attributes import (
-    attribute_importance,
-    entity_names,
-    top_k_name_attributes,
-)
+from repro.core.attributes import entity_names, importance, top_k_name_attributes
 from repro.kb.schema import kb_from_rows
 from repro.oracle import assert_equivalent
 
@@ -30,8 +26,12 @@ def kb(spark):
     )
 
 
+def _importance(kb):
+    return importance(kb.literals(), "obj", kb.n_entities())
+
+
 def test_importance_values(kb):
-    imp = {r.pred: r for r in attribute_importance(kb).collect()}
+    imp = {r.pred: r for r in _importance(kb).collect()}
     # name: support 1, discriminability 1 -> importance 1
     assert imp["name"].support == pytest.approx(1.0)
     assert imp["name"].discriminability == pytest.approx(1.0)
@@ -43,33 +43,33 @@ def test_importance_values(kb):
 
 
 def test_relations_and_types_excluded(kb):
-    preds = {r.pred for r in attribute_importance(kb).collect()}
+    preds = {r.pred for r in _importance(kb).collect()}
     assert preds == {"name", "status", "note"}
 
 
 def test_top_k(kb):
-    assert top_k_name_attributes(kb, 1) == ["name"]
-    assert top_k_name_attributes(kb, 2) == ["name", "note"]
+    assert top_k_name_attributes(kb, kb.n_entities(), 1) == ["name"]
+    assert top_k_name_attributes(kb, kb.n_entities(), 2) == ["name", "note"]
 
 
 def test_top_k_larger_than_attrs(kb):
-    assert top_k_name_attributes(kb, 10) == ["name", "note", "status"]
+    assert top_k_name_attributes(kb, kb.n_entities(), 10) == ["name", "note", "status"]
 
 
 def test_entity_names_normalized(spark):
     kb = kb_from_rows(spark, "E1", [(1, "name", "  MiXeD Case ", False)])
-    rows = entity_names(kb, 1).collect()
+    rows = entity_names(kb, kb.n_entities(), 1).collect()
     assert [(r.eid, r.name) for r in rows] == [(1, "mixed case")]
 
 
 def test_entity_names_multiple_attrs(kb):
-    names = {(r.eid, r.name) for r in entity_names(kb, 2).collect()}
+    names = {(r.eid, r.name) for r in entity_names(kb, kb.n_entities(), 2).collect()}
     assert (1, "n1") in names and (1, "x1") in names
     assert (3, "n3") in names and not any(n == "active" for _, n in names)
 
 
 def test_importance_vs_oracle(kb):
-    df = attribute_importance(kb).select("pred", "support", "discriminability")
+    df = _importance(kb).select("pred", "support", "discriminability")
     lits = kb.literals().toPandas()
     n = kb.n_entities()
     sql = f"""
@@ -85,9 +85,9 @@ def test_preset_name_attr_wins(restaurant_pair, yago_pair):
     """The designed name/id attributes must top the importance ranking —
     the property H1 depends on (DESIGN.md: names found by statistics)."""
     for pair, side in ((restaurant_pair, 1), (yago_pair, 1)):
-        top = set(top_k_name_attributes(pair.kb1, 2))
+        top = set(top_k_name_attributes(pair.kb1, pair.kb1.n_entities(), 2))
         assert f"ns0:a{side}_0" in top, top  # the name attribute
-    top2 = set(top_k_name_attributes(restaurant_pair.kb2, 2))
+    top2 = set(top_k_name_attributes(restaurant_pair.kb2, restaurant_pair.kb2.n_entities(), 2))
     assert "ns0:a2_0" in top2, top2
 
 
@@ -96,4 +96,4 @@ def test_tie_break_deterministic(spark):
         spark, "E1",
         [(1, "b", "x", False), (1, "a", "y", False), (2, "b", "z", False), (2, "a", "w", False)],
     )
-    assert top_k_name_attributes(kb, 1) == ["a"]  # equal importance -> name order
+    assert top_k_name_attributes(kb, kb.n_entities(), 1) == ["a"]  # equal importance -> name order

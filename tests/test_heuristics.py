@@ -4,8 +4,8 @@ import math
 import pytest
 from pyspark.sql import functions as F
 
+from repro.blocking import blocks
 from repro.blocking.name_blocking import h1_matches
-from repro.blocking.tokenize import entity_tokens
 from repro.core import heuristics
 from repro.core.relations import top_neighbors
 from repro.core.value_sim import value_similarities
@@ -21,19 +21,22 @@ def _ns(spark, rows):
 
 @pytest.fixture(scope="module")
 def toy_ctx(toy_pair):
-    t1 = entity_tokens(toy_pair.kb1)
-    t2 = entity_tokens(toy_pair.kb2)
-    vs = value_similarities(t1, t2).cache()
+    """(H1 matches, valueSim, neighborNSim) of the toy pair, as match() builds them."""
+    b = blocks.build(toy_pair)
+    vs = value_similarities(b.tokens1, b.tokens2, b.bt).cache()
     ns = heuristics.neighbor_similarities(
-        vs, top_neighbors(toy_pair.kb1), top_neighbors(toy_pair.kb2)
+        vs,
+        top_neighbors(toy_pair.kb1, b.n_entities[0]),
+        top_neighbors(toy_pair.kb2, b.n_entities[1]),
     ).cache()
-    return toy_pair, vs, ns
+    h1 = h1_matches(b.names1, b.names2, b.bn).cache()
+    return h1, vs, ns
 
 
 # ---------------------------------------------------------------- H1
 def test_h1_exact_unique_name_only(toy_ctx):
-    pair, _, _ = toy_ctx
-    got = {(r.e1, r.e2) for r in h1_matches(pair).collect()}
+    h1, _, _ = toy_ctx
+    got = {(r.e1, r.e2) for r in h1.collect()}
     assert got == {(1, 101)}
 
 
@@ -65,8 +68,7 @@ def test_h2_skips_matched_e1_but_not_e2(spark):
 
 
 def test_h2_on_toy(toy_ctx):
-    pair, vs, _ = toy_ctx
-    h1 = h1_matches(pair)
+    h1, vs, _ = toy_ctx
     got = {(r.e1, r.e2) for r in heuristics.h2_matches(vs, h1).collect()}
     assert got == {(2, 102)}
 
@@ -83,7 +85,7 @@ def test_neighbor_sim_sums_over_neighbor_pairs(spark):
 
 
 def test_neighbor_sim_toy(toy_ctx):
-    pair, vs, ns = toy_ctx
+    _, _, ns = toy_ctx
     vals = {(r.e1, r.e2): r.nsim for r in ns.collect()}
     # nbrs(3) = {1}, nbrs(103) = {101}: nsim = valueSim(1, 101)
     assert vals[(3, 103)] == pytest.approx(2 + 1 / math.log2(3))
@@ -141,8 +143,7 @@ def test_h3_zero_nsim_rows_ignored(spark):
 
 
 def test_h3_toy_recovers_pair_3(toy_ctx):
-    pair, vs, ns = toy_ctx
-    h1 = h1_matches(pair)
+    h1, vs, ns = toy_ctx
     h2 = heuristics.h2_matches(vs, h1)
     matched = h1.unionByName(h2)
     got = {(r.e1, r.e2) for r in heuristics.h3_matches(vs, ns, matched).collect()}

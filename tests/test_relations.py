@@ -1,7 +1,8 @@
 """Tests for relation importance and top neighbors (repro.core.relations)."""
 import pytest
 
-from repro.core.relations import relation_importance, top_n_relations, top_neighbors
+from repro.core.attributes import importance
+from repro.core.relations import top_n_relations, top_neighbors
 from repro.kb.schema import kb_from_rows
 from repro.oracle import assert_equivalent
 
@@ -25,8 +26,12 @@ def kb(spark):
     )
 
 
+def _importance(kb):
+    return importance(kb.relations(), "nbr", kb.n_entities())
+
+
 def test_importance(kb):
-    imp = {r.pred: r for r in relation_importance(kb).collect()}
+    imp = {r.pred: r for r in _importance(kb).collect()}
     assert imp["knows"].support == pytest.approx(1.0)
     assert imp["knows"].discriminability == pytest.approx(1.0)
     # likes: support 1/3, discriminability 2/1 = 2
@@ -35,16 +40,16 @@ def test_importance(kb):
 
 
 def test_literals_excluded(kb):
-    assert {r.pred for r in relation_importance(kb).collect()} == {"knows", "likes"}
+    assert {r.pred for r in _importance(kb).collect()} == {"knows", "likes"}
 
 
 def test_top_n(kb):
-    assert top_n_relations(kb, 1) == ["knows"]
-    assert set(top_n_relations(kb, 2)) == {"knows", "likes"}
+    assert top_n_relations(kb, kb.n_entities(), 1) == ["knows"]
+    assert set(top_n_relations(kb, kb.n_entities(), 2)) == {"knows", "likes"}
 
 
 def test_top_neighbors_restricted_to_top_relations(kb):
-    nbrs = {(r.eid, r.nbr) for r in top_neighbors(kb, 1).collect()}
+    nbrs = {(r.eid, r.nbr) for r in top_neighbors(kb, kb.n_entities(), 1).collect()}
     assert nbrs == {(1, 2), (2, 3), (3, 1)}
 
 
@@ -53,17 +58,17 @@ def test_top_neighbors_distinct(spark):
         spark, "E1",
         [(1, "knows", "2", True), (1, "knows", "2", True), (2, "knows", "1", True)],
     )
-    assert top_neighbors(kb, 1).count() == 2
+    assert top_neighbors(kb, kb.n_entities(), 1).count() == 2
 
 
 def test_no_relations(spark):
     kb = kb_from_rows(spark, "E1", [(1, "name", "a", False)])
-    assert top_n_relations(kb, 3) == []
-    assert top_neighbors(kb, 3).count() == 0
+    assert top_n_relations(kb, kb.n_entities(), 3) == []
+    assert top_neighbors(kb, kb.n_entities(), 3).count() == 0
 
 
 def test_importance_vs_oracle(kb):
-    df = relation_importance(kb).select("pred", "support", "discriminability")
+    df = _importance(kb).select("pred", "support", "discriminability")
     rels = kb.relations().toPandas()
     n = kb.n_entities()
     sql = f"""
@@ -78,7 +83,7 @@ def test_importance_vs_oracle(kb):
 def test_preset_core_relations_win(yago_pair):
     """Junk relations (low support) must rank below the core ones that
     carry the aligned edges — H3's neighborhood depends on it."""
-    top1 = top_n_relations(yago_pair.kb1, 3)
+    top1 = top_n_relations(yago_pair.kb1, yago_pair.kb1.n_entities(), 3)
     assert all(any(f"r1_{i}" in t for i in range(3)) for t in top1), top1
-    top2 = top_n_relations(yago_pair.kb2, 3)
+    top2 = top_n_relations(yago_pair.kb2, yago_pair.kb2.n_entities(), 3)
     assert all(any(f"r2_{i}" in t for i in range(3)) for t in top2), top2
